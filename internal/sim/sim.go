@@ -1,9 +1,11 @@
 // Package sim implements a deterministic discrete-event simulation engine.
 //
-// Processes are goroutines scheduled cooperatively against a virtual clock:
-// exactly one process executes at any instant, so simulations are
-// deterministic and free of data races by construction. The engine provides
-// three coordination primitives used by the rest of the testbed:
+// Processes are coroutines (iter.Pull) that the event loop resumes one at
+// a time against a virtual clock: control passes directly between the
+// loop and exactly one process, so simulations are deterministic and free
+// of data races by construction (race-detector builds run processes on
+// goroutines instead; see procContext). The engine provides three
+// coordination primitives used by the rest of the testbed:
 //
 //   - Event: a one-shot condition processes can wait on,
 //   - Resource: a counting semaphore with a FIFO wait queue (RDMA memory,
@@ -44,10 +46,9 @@ type wakeMsg struct {
 // Engine is a discrete-event simulator. The zero value is not usable; call
 // NewEngine.
 type Engine struct {
-	now     Time
-	queue   eventHeap
-	seq     int64
-	yielded chan struct{}
+	now   Time
+	queue eventHeap
+	seq   int64
 
 	live     int
 	blocked  map[*Proc]struct{}
@@ -79,7 +80,6 @@ type Engine struct {
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
 	return &Engine{
-		yielded:  make(chan struct{}),
 		blocked:  make(map[*Proc]struct{}),
 		maxTime:  math.Inf(1),
 		failFast: true,
@@ -116,11 +116,12 @@ func (e *Engine) SetDeadline(t Time) {
 }
 
 // Proc is a handle to a simulated process. All blocking operations must be
-// invoked from the process's own goroutine.
+// invoked from the process's own body.
 type Proc struct {
 	e    *Engine
 	name string
-	wake chan wakeMsg
+	ctx  procContext
+	msg  wakeMsg // the wake-up the engine last resumed the process with
 	done bool
 	err  error
 
@@ -147,33 +148,34 @@ func (p *Proc) Now() Time { return p.e.now }
 func (p *Proc) Engine() *Engine { return p.e }
 
 // Spawn registers a new process that starts at the current virtual time.
-// fn runs in its own goroutine; a non-nil returned error is collected and
-// reported by Run. Spawn may be called before Run or from a running process.
+// fn runs in its own coroutine; a non-nil returned error is collected and
+// reported by Run. Spawn may be called before Run or from a running process;
+// once the engine has shut down, the process is born aborted and never runs.
 func (e *Engine) Spawn(name string, fn func(p *Proc) error) *Proc {
-	p := &Proc{e: e, name: name, wake: make(chan wakeMsg, 1)}
+	p := &Proc{e: e, name: name}
+	if e.stopped {
+		p.done, p.err = true, ErrAborted
+		return p
+	}
 	e.live++
 	e.lastProgress = e.now
 	e.procs = append(e.procs, p)
-	go func() {
-		msg := <-p.wake
-		var err error
-		if msg.aborted {
-			err = ErrAborted
+	p.ctx.start(func() {
+		if p.msg.aborted {
+			p.err = ErrAborted
 		} else {
-			err = runProc(p, fn)
+			p.err = runProc(p, fn)
 		}
 		p.done = true
-		p.err = err
-		e.yielded <- struct{}{}
-	}()
+	})
 	e.schedule(e.now, p, nil)
 	return p
 }
 
 // runProc executes a process body, converting a panic into a structured
-/// error instead of tearing down the host: the deferred recover runs
-// while the process still holds the engine's execution turn, so the
-// normal done/yield handshake below proceeds and the engine stays sane.
+// error instead of tearing down the host: the deferred recover runs
+// before the body's coroutine returns, so the resume that was running it
+// sees an ordinary finished process and the engine stays sane.
 func runProc(p *Proc, fn func(p *Proc) error) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -228,10 +230,10 @@ func (e *Engine) At(t Time, fn func()) (cancel func()) {
 	}
 }
 
-// resume hands control to p and waits for it to yield back.
+// resume hands control to p and returns once it yields or finishes.
 func (e *Engine) resume(p *Proc, msg wakeMsg) {
-	p.wake <- msg
-	<-e.yielded
+	p.msg = msg
+	p.ctx.switchIn()
 	if p.done {
 		e.live--
 		e.lastProgress = e.now
@@ -245,16 +247,20 @@ func (e *Engine) resume(p *Proc, msg wakeMsg) {
 }
 
 // yield blocks the calling process until the engine wakes it again.
-// It must only be called from the process's goroutine.
+// It must only be called from the process's own body.
 func (p *Proc) yield() wakeMsg {
-	p.e.yielded <- struct{}{}
-	return <-p.wake
+	p.ctx.switchOut()
+	return p.msg
 }
 
 // block parks the process with no scheduled wake-up; something else (an
 // Event firing, a Resource release) must schedule it. Returns ErrAborted if
-// the engine shut down while blocked.
+// the engine shut down while blocked, or at once if it already has: no one
+// would ever wake the process again.
 func (p *Proc) block() error {
+	if p.e.stopped {
+		return ErrAborted
+	}
 	p.blockedSince = p.e.now
 	p.e.blocked[p] = struct{}{}
 	msg := p.yield()
@@ -276,8 +282,12 @@ func (e *Engine) unblock(p *Proc) {
 }
 
 // Sleep advances the process's view of time by d seconds (d <= 0 yields
-// without advancing the clock).
+// without advancing the clock). Like every blocking call, it returns
+// ErrAborted immediately if the engine has already shut down.
 func (p *Proc) Sleep(d Time) error {
+	if p.e.stopped {
+		return ErrAborted
+	}
 	if d < 0 {
 		d = 0
 	}
@@ -309,7 +319,7 @@ func (e *Engine) Run() error {
 			deadlineHit = true
 			e.errs = append(e.errs, fmt.Errorf("%w: %.3fs", ErrDeadline, e.maxTime))
 			// The popped item is in neither the queue nor the blocked map;
-			// abort its process here or the goroutine leaks and the run is
+			// abort its process here or its coroutine leaks and the run is
 			// misreported as a deadlock.
 			if it.proc != nil && !it.proc.done {
 				e.resume(it.proc, wakeMsg{aborted: true})
@@ -368,7 +378,7 @@ func (e *Engine) Run() error {
 	return errors.Join(e.errs...)
 }
 
-// abortAll wakes every live process with an abort signal so its goroutine
+// abortAll wakes every live process with an abort signal so its coroutine
 // unwinds; used on deadlock and shutdown so Run leaks no goroutines.
 func (e *Engine) abortAll() {
 	e.stopped = true
