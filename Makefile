@@ -4,34 +4,22 @@ PROF_OUT ?= imcprof-smoke.json
 CHAOS_OUT ?= chaos-smoke.json
 LINT_OUT ?= imclint-report.json
 
-.PHONY: check build vet lint lint-vet test race bench microbench fuzz prof-smoke chaos-smoke tidy
+.PHONY: check build vet lint test race bench microbench fuzz prof-smoke chaos-smoke tidy
 
 # check is the CI gate: compile everything, vet, lint the determinism
-# invariants (in both driver modes), run the full test suite under the
-# race detector, give the fuzzers a short shake, prove the
-# self-profiling pipeline end to end, and run the tiny chaos campaign
-# (report written, re-read and parsed).
-check: build vet lint lint-vet race fuzz prof-smoke chaos-smoke
+# invariants, run the full test suite under the race detector, give the
+# fuzzers a short shake, prove the self-profiling pipeline end to end,
+# and run the tiny chaos campaign (report written, re-read and parsed).
+check: build vet lint race fuzz prof-smoke chaos-smoke
 
-# lint runs the imclint determinism suite (eventorder, maprange,
-# metricsnil, nondetflow, profnil, sharedmut, walltime, stalewaiver —
-# see README "Static analysis") over the whole tree and writes the
-# machine-readable report ($(LINT_OUT), a sorted JSON array, [] when
-# clean) that CI uploads as an artifact; findings also print to stdout
-# and make the target exit non-zero.
+# lint runs the imclint determinism suite (maprange, nilguard,
+# nondetflow, sharedmut, stalewaiver — see README "Static analysis")
+# over the whole tree and writes the machine-readable report
+# ($(LINT_OUT), a sorted JSON array, [] when clean) that CI uploads as
+# an artifact; findings also print to stdout and make the target exit
+# non-zero.
 lint:
 	$(GO) run ./cmd/imclint -json -o $(LINT_OUT) ./...
-
-# lint-vet runs the identical suite through cmd/go's unitchecker
-# protocol (`go vet -vettool`), exercising the vetx facts files that
-# carry nondetflow's cross-package taint between package units. CI runs
-# both modes; TestLaunderingFailsBothModes asserts they agree on a
-# known-dirty module, and a tree clean in one mode must be clean in the
-# other.
-lint-vet:
-	$(GO) build -o imclint.vettool ./cmd/imclint
-	$(GO) vet -vettool=./imclint.vettool ./...
-	rm -f imclint.vettool
 
 build:
 	$(GO) build ./...

@@ -25,7 +25,7 @@ type Analyzer struct {
 	// a valid Go identifier.
 	Name string
 
-	// Doc is the one-paragraph description printed by `imclint -help`.
+	// Doc is a one-paragraph description of the check.
 	Doc string
 
 	// Facts, when non-nil, runs before any analyzer's Run on every
@@ -33,14 +33,8 @@ type Analyzer struct {
 	// analyzer's reporting scope — and may export facts on the
 	// package's objects with Pass.ExportObjectFact. Drivers process
 	// packages in dependency order, so Facts can already import facts
-	// from the package's dependencies. In `go vet` unitchecker mode
-	// this is the phase that runs for VetxOnly (dependency-only)
-	// units.
+	// from the package's dependencies.
 	Facts func(*Pass) error
-
-	// FactTypes lists one zero value per concrete fact type the
-	// analyzer exports, so drivers can register them with the codec.
-	FactTypes []Fact
 
 	// Run applies the analyzer to one package and reports diagnostics.
 	Run func(*Pass) error

@@ -1,33 +1,22 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
-	"strings"
 	"sync"
 )
 
 // Fact is a typed datum an analyzer attaches to a types.Object so later
 // passes — over the same package or over packages that import it — can
 // query it. The semantics mirror golang.org/x/tools' go/analysis facts:
-// a fact exported on an object travels with the package (serialized
-// into the vetx facts file in unitchecker mode, carried by the driver's
-// FactStore in standalone mode) and is visible wherever the object is.
-// Fact implementations must be pointers to gob-encodable structs,
-// registered once with RegisterFact.
+// a fact exported on an object is carried by the driver's FactStore and
+// is visible wherever the object is. Fact implementations must be
+// pointers to structs.
 type Fact interface {
 	// AFact is a marker method; it has no behavior.
 	AFact()
 }
-
-// RegisterFact makes a concrete fact type known to the gob codec used
-// for the per-package facts files. Call it from the owning analyzer's
-// init.
-func RegisterFact(f Fact) { gob.Register(f) }
 
 // ObjKey returns a key for obj that is stable across loads of the same
 // package — whether the object came from parsed source or from compiler
@@ -77,9 +66,7 @@ type factKey struct {
 
 // FactStore holds every fact exported during one analysis run, keyed by
 // stable object paths so facts survive the source-object/export-data
-// object split. One store is shared across all packages of a standalone
-// run; unitchecker mode fills a fresh store from the dependency vetx
-// files and serializes the analyzed package's slice back out.
+// object split. One store is shared across all packages of a run.
 type FactStore struct {
 	mu sync.Mutex
 	m  map[factKey]Fact
@@ -136,95 +123,4 @@ func (s *FactStore) lookup(obj types.Object, dst Fact) bool {
 func (s *FactStore) Bind(p *Pass) {
 	p.exportObjectFact = func(obj types.Object, f Fact) error { return s.export(obj, f) }
 	p.importObjectFact = func(obj types.Object, f Fact) bool { return s.lookup(obj, f) }
-}
-
-// factsMagic versions the serialized facts format; files that do not
-// start with it (for example the pre-facts "imclint: no facts" stub)
-// decode as an empty fact set rather than an error.
-const factsMagic = "imclint-facts/1\n"
-
-// savedFact is the serialized form of one exported fact.
-type savedFact struct {
-	Obj  string
-	Fact Fact
-}
-
-// EncodePackage serializes every fact exported on objects of pkgPath,
-// sorted by object key so the bytes are deterministic (go vet caches
-// vetx files by content).
-func (s *FactStore) EncodePackage(pkgPath string) ([]byte, error) {
-	s.mu.Lock()
-	var saved []savedFact
-	for k, f := range s.m {
-		if k.pkg == pkgPath {
-			saved = append(saved, savedFact{Obj: k.obj, Fact: f})
-		}
-	}
-	s.mu.Unlock()
-	sort.Slice(saved, func(i, j int) bool {
-		if saved[i].Obj != saved[j].Obj {
-			return saved[i].Obj < saved[j].Obj
-		}
-		return factTypeName(saved[i].Fact) < factTypeName(saved[j].Fact)
-	})
-	var buf bytes.Buffer
-	buf.WriteString(factsMagic)
-	if err := gob.NewEncoder(&buf).Encode(saved); err != nil {
-		return nil, fmt.Errorf("analysis: encoding facts for %s: %v", pkgPath, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodePackage merges a serialized fact set into the store under
-// pkgPath. Unrecognized formats (including the legacy no-facts stub)
-// are treated as empty, so mixed-version vetx caches stay readable.
-func (s *FactStore) DecodePackage(pkgPath string, data []byte) error {
-	if !bytes.HasPrefix(data, []byte(factsMagic)) {
-		return nil
-	}
-	var saved []savedFact
-	dec := gob.NewDecoder(bytes.NewReader(data[len(factsMagic):]))
-	if err := dec.Decode(&saved); err != nil {
-		return fmt.Errorf("analysis: decoding facts for %s: %v", pkgPath, err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, sf := range saved {
-		s.m[factKey{pkg: pkgPath, obj: sf.Obj, typ: factTypeName(sf.Fact)}] = sf.Fact
-	}
-	return nil
-}
-
-// PackagePaths returns the sorted set of package paths that own at
-// least one fact (used by round-trip tests).
-func (s *FactStore) PackagePaths() []string {
-	s.mu.Lock()
-	seen := make(map[string]bool)
-	for k := range s.m {
-		seen[k.pkg] = true
-	}
-	s.mu.Unlock()
-	paths := make([]string, 0, len(seen))
-	for p := range seen {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	return paths
-}
-
-// Equal reports whether two stores hold identical facts (compared by
-// their deterministic encodings); used to prove encode/decode fidelity.
-func (s *FactStore) Equal(o *FactStore) bool {
-	a, b := s.PackagePaths(), o.PackagePaths()
-	if strings.Join(a, "\x00") != strings.Join(b, "\x00") {
-		return false
-	}
-	for _, p := range a {
-		ea, err1 := s.EncodePackage(p)
-		eb, err2 := o.EncodePackage(p)
-		if err1 != nil || err2 != nil || !bytes.Equal(ea, eb) {
-			return false
-		}
-	}
-	return true
 }

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"bytes"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -24,8 +23,6 @@ var V int
 type testFact struct{ Payload string }
 
 func (*testFact) AFact() {}
-
-func init() { RegisterFact(&testFact{}) }
 
 func checkFixture(t *testing.T) *types.Package {
 	t.Helper()
@@ -80,72 +77,6 @@ func TestObjKeyForms(t *testing.T) {
 	}
 	if _, ok := ObjKey(nil); ok {
 		t.Error("ObjKey(nil) should not be addressable")
-	}
-}
-
-// TestFactsRoundTrip exports facts through a Pass, serializes the
-// package's slice, decodes it into a fresh store, and demands the two
-// stores be indistinguishable — the property the vetx facts files rely
-// on. Encoding must also be byte-deterministic: cmd/go content-hashes
-// the facts file into its build cache key.
-func TestFactsRoundTrip(t *testing.T) {
-	pkg := checkFixture(t)
-	store := NewFactStore()
-	pass := &Pass{Analyzer: &Analyzer{Name: "test"}}
-	store.Bind(pass)
-
-	objs := []types.Object{
-		pkg.Scope().Lookup("F"),
-		pkg.Scope().Lookup("V"),
-		methodOf(t, pkg, true, "PM"),
-	}
-	for i, obj := range objs {
-		if err := pass.ExportObjectFact(obj, &testFact{Payload: string(rune('a' + i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var got testFact
-	if !pass.ImportObjectFact(pkg.Scope().Lookup("F"), &got) || got.Payload != "a" {
-		t.Fatalf("ImportObjectFact(F) = %+v, want payload %q", got, "a")
-	}
-	if pass.ImportObjectFact(methodOf(t, pkg, false, "M"), &got) {
-		t.Fatal("ImportObjectFact(M) found a fact that was never exported")
-	}
-
-	enc1, err := store.EncodePackage("example.com/p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc2, _ := store.EncodePackage("example.com/p")
-	if !bytes.Equal(enc1, enc2) {
-		t.Fatal("EncodePackage is not byte-deterministic")
-	}
-
-	decoded := NewFactStore()
-	if err := decoded.DecodePackage("example.com/p", enc1); err != nil {
-		t.Fatal(err)
-	}
-	if !store.Equal(decoded) {
-		t.Fatal("decoded store differs from the original")
-	}
-	dpass := &Pass{Analyzer: &Analyzer{Name: "test"}}
-	decoded.Bind(dpass)
-	if !dpass.ImportObjectFact(pkg.Scope().Lookup("V"), &got) || got.Payload != "b" {
-		t.Fatalf("after round trip, fact on V = %+v, want payload %q", got, "b")
-	}
-}
-
-// TestDecodeToleratesLegacyStub: pre-facts imclint wrote a plain-text
-// stub as its vetx file; a warm go vet cache may still serve it, and it
-// must decode as "no facts", not an error.
-func TestDecodeToleratesLegacyStub(t *testing.T) {
-	store := NewFactStore()
-	if err := store.DecodePackage("example.com/p", []byte("imclint: no facts\n")); err != nil {
-		t.Fatal(err)
-	}
-	if got := store.PackagePaths(); len(got) != 0 {
-		t.Fatalf("legacy stub produced facts for %v", got)
 	}
 }
 

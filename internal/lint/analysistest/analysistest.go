@@ -31,6 +31,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/imcstudy/imcstudy/internal/lint"
 	"github.com/imcstudy/imcstudy/internal/lint/analysis"
 	"github.com/imcstudy/imcstudy/internal/lint/load"
 )
@@ -75,12 +76,12 @@ func moduleRoot() (string, error) {
 
 // Run applies one analyzer to each fixture package (a path under
 // testdata/src, e.g. "staging/maprange"), in order, and reports
-// mismatches through t. The analyzer's Facts phase runs on every listed
-// package against one shared store before diagnostics are checked, so
-// facts flow between fixtures exactly as between real packages.
+// mismatches through t. Each package goes through lint.RunPackage, the
+// driver's own pass loop, against one shared fact store, so facts flow
+// between fixtures exactly as between real packages.
 func Run(t *testing.T, a *analysis.Analyzer, pkgpaths ...string) {
 	t.Helper()
-	run(t, []*analysis.Analyzer{a}, pkgpaths...)
+	RunSuite(t, []*analysis.Analyzer{a}, pkgpaths...)
 }
 
 // RunSuite applies a whole analyzer suite to the fixture packages and
@@ -88,11 +89,6 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgpaths ...string) {
 // what stalewaiver fixtures need: a waiver is only provably stale after
 // every analyzer that might have consumed it has run.
 func RunSuite(t *testing.T, analyzers []*analysis.Analyzer, pkgpaths ...string) {
-	t.Helper()
-	run(t, analyzers, pkgpaths...)
-}
-
-func run(t *testing.T, analyzers []*analysis.Analyzer, pkgpaths ...string) {
 	t.Helper()
 	ld, err := sharedLoader()
 	if err != nil {
@@ -116,33 +112,10 @@ func run(t *testing.T, analyzers []*analysis.Analyzer, pkgpaths ...string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var diags []analysis.Diagnostic
-		newPass := func(a *analysis.Analyzer) *analysis.Pass {
-			pass := &analysis.Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Files,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.Info,
-				Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-			}
-			store.Bind(pass)
-			return pass
+		diags, err := lint.RunPackage(store, pkg, analyzers)
+		if err != nil {
+			t.Fatalf("analysistest: %v", err)
 		}
-		for _, a := range analyzers {
-			if a.Facts == nil {
-				continue
-			}
-			if err := a.Facts(newPass(a)); err != nil {
-				t.Fatalf("analysistest: %s facts on %s: %v", a.Name, pkgpath, err)
-			}
-		}
-		for _, a := range analyzers {
-			if err := a.Run(newPass(a)); err != nil {
-				t.Fatalf("analysistest: %s on %s: %v", a.Name, pkgpath, err)
-			}
-		}
-		diags = analysis.SortDiagnostics(pkg.Fset, diags)
 		for _, d := range diags {
 			p := pkg.Fset.Position(d.Pos)
 			if !consume(wants, p.Filename, p.Line, d.Message) {

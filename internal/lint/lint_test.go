@@ -15,20 +15,24 @@ func TestMapRange(t *testing.T) {
 	analysistest.Run(t, lint.MapRange, "staging/maprange", "plainpkg")
 }
 
+// TestWallTime covers nondetflow's stdlib roots: wall clock and global
+// rand, in every call form and as values.
 func TestWallTime(t *testing.T) {
-	analysistest.Run(t, lint.WallTime, "hpc/walltime", "plainpkg")
+	analysistest.Run(t, lint.NondetFlow, "hpc/walltime", "plainpkg")
 }
 
+// TestEventOrder: scheduling engine work inside a map range is one case
+// of maprange's order-dependent body, reported at the range header.
 func TestEventOrder(t *testing.T) {
-	analysistest.Run(t, lint.EventOrder, "sim/eventorder", "plainpkg")
+	analysistest.Run(t, lint.MapRange, "sim/eventorder", "plainpkg")
 }
 
 func TestMetricsNil(t *testing.T) {
-	analysistest.Run(t, lint.MetricsNil, "metricsuser")
+	analysistest.Run(t, lint.NilGuard, "metricsuser")
 }
 
 func TestProfNil(t *testing.T) {
-	analysistest.Run(t, lint.ProfNil, "profuser")
+	analysistest.Run(t, lint.NilGuard, "profuser")
 }
 
 // TestNondetFlow is the cross-package laundering scenario: helperutil

@@ -2,9 +2,7 @@
 // without golang.org/x/tools: it shells out to `go list -export -deps`
 // once to obtain source file lists and compiler export data (building
 // them if stale), then type-checks target packages with the standard
-// library's gc importer reading that export data. This is the same
-// information `go vet` hands its vettool, so the standalone driver and
-// the unitchecker mode share one analysis path.
+// library's gc importer reading that export data.
 package load
 
 import (
@@ -106,13 +104,6 @@ func New(dir string, patterns ...string) (*Loader, error) {
 	return ld, nil
 }
 
-// FromImporter wraps an externally supplied importer (e.g. one reading
-// a vet unit's PackageFile map) in a Loader so unitchecker mode shares
-// Check with the standalone driver.
-func FromImporter(fset *token.FileSet, imp types.Importer, goVersion string) *Loader {
-	return &Loader{fset: fset, imp: imp, goVersion: goVersion}
-}
-
 // Register makes an already source-checked package importable by its
 // import path in later Check calls. The analysistest harness uses it so
 // one fixture package can import another (fixture packages have no
@@ -131,9 +122,6 @@ type chainImporter struct{ ld *Loader }
 func (c chainImporter) Import(path string) (*types.Package, error) {
 	if p, ok := c.ld.srcPkgs[path]; ok {
 		return p, nil
-	}
-	if c.ld.imp == nil {
-		return nil, fmt.Errorf("lint/load: no importer for %q", path)
 	}
 	return c.ld.imp.Import(path)
 }

@@ -8,45 +8,44 @@ import (
 	"github.com/imcstudy/imcstudy/internal/lint/analysis"
 )
 
-// NondetFlow is the inter-procedural companion to walltime and
-// maprange. Those analyzers are purely intra-package, so wrapping
-// time.Now (or an order-dependent map walk, or os.Getenv) in a helper
-// that lives in a non-modelled package silently launders nondeterminism
-// into modelled code: the helper's package is out of scope, and the
-// modelled call site just calls an innocent-looking function.
+// NondetFlow keeps nondeterminism out of modelled packages. Modelled
+// code advances on the virtual clock (sim.Engine.Now / Proc.Sleep),
+// draws randomness from explicitly seeded sources
+// (rand.New(rand.NewSource(seed))) and reads nothing from the host, so
+// two runs of the same configuration stay byte-identical — the property
+// every golden in EXPERIMENTS.md relies on. The nondeterminism roots
+// are:
 //
-// NondetFlow closes that hole with a facts pass. For every function in
-// every package the driver sees — modelled or not — it computes whether
-// the function (directly, or via any chain of calls, across package
-// boundaries) reaches one of the nondeterminism roots:
-//
-//   - the wall clock (time.Now/Since/Sleep/..., same set as walltime),
+//   - the wall clock (time.Now/Since/Sleep/...),
 //   - the global math/rand source (rand.Intn and friends),
 //   - the process environment and host identity (os.Getenv, os.Environ,
 //     os.Hostname, os.Getpid, ...),
 //   - order-dependent map iteration (same classifier as maprange).
 //
-// Tainted functions get a NondetFact exported on them; the fact travels
-// with the package (through the driver's fact store in standalone mode,
-// through the vetx facts file under `go vet -vettool`), so importers see
-// it. The reporting pass then flags, inside modelled packages only:
+// Wrapping a root in a helper that lives in a non-modelled package
+// would launder it into modelled code, so NondetFlow runs a facts pass.
+// For every function in every package the driver sees — modelled or
+// not — it computes whether the function (directly, or via any chain of
+// calls, across package boundaries) reaches a root, and exports a
+// NondetFact on the tainted ones. The driver's fact store carries the
+// facts to importers. The reporting pass then flags, inside modelled
+// packages only (test files exempt):
 //
+//   - every reference to a stdlib root, called in any form (t.F(),
+//     (t.F)(), a dot-imported F(), an instantiated generic F[T]()) or
+//     used as a value (f := time.Now),
 //   - any call to (or reference of) a tainted function defined outside
-//     modelled scope — the laundering case,
-//   - direct os.* environment reads (walltime does not cover those),
-//   - time/rand functions referenced as *values* (assigning time.Now to
-//     a variable escapes walltime's call-expression check).
+//     modelled scope — the laundering case, with a witness chain.
 //
 // A reasoned //imclint:deterministic waiver at the source kills the
 // taint (the helper is "sanitized": its nondeterminism provably never
-// reaches modelled state); a waiver at the modelled call site suppresses
-// that one finding.
+// reaches modelled state); a waiver at the modelled use suppresses that
+// one finding.
 var NondetFlow = &analysis.Analyzer{
-	Name:      "nondetflow",
-	Doc:       "flags calls from modelled code into functions that transitively reach wall clock, global rand, the environment, or map iteration order",
-	Facts:     computeNondetFacts,
-	FactTypes: []analysis.Fact{&NondetFact{}},
-	Run:       runNondetFlow,
+	Name:  "nondetflow",
+	Doc:   "flags wall-clock, global-rand and environment reads in modelled code, and calls into functions that transitively reach them or map iteration order",
+	Facts: computeNondetFacts,
+	Run:   runNondetFlow,
 }
 
 // NondetFact marks a function that (directly or via any call chain,
@@ -57,7 +56,23 @@ type NondetFact struct{ Chain string }
 // AFact marks NondetFact as an analysis fact.
 func (*NondetFact) AFact() {}
 
-func init() { analysis.RegisterFact(&NondetFact{}) }
+// bannedTime are the package-level `time` functions that read or wait
+// on the wall clock. Pure constructors/converters (time.Duration,
+// time.Unix, time.Date) stay legal.
+var bannedTime = map[string]bool{
+	"Now": true, "Since": true, "Until": true, "Sleep": true,
+	"After": true, "AfterFunc": true, "Tick": true,
+	"NewTimer": true, "NewTicker": true,
+}
+
+// allowedRand are the package-level math/rand (and /v2) functions that
+// construct explicitly seeded generators; every other package-level
+// function uses the shared global source and is a root. Methods on a
+// *rand.Rand are always fine — the source was seeded at construction.
+var allowedRand = map[string]bool{
+	"New": true, "NewSource": true, "NewZipf": true,
+	"NewPCG": true, "NewChaCha8": true, // math/rand/v2
+}
 
 // envFuncs are the package-level os functions that read the process
 // environment or host identity — values that differ between two runs of
@@ -68,39 +83,34 @@ var envFuncs = map[string]bool{
 	"TempDir": true, "UserHomeDir": true, "UserCacheDir": true, "UserConfigDir": true,
 }
 
-// intrinsicClass distinguishes which sibling analyzer owns direct calls
-// to an intrinsic root, so nondetflow does not duplicate findings.
-type intrinsicClass int
-
-const (
-	classWalltime intrinsicClass = iota // time.*, global math/rand: walltime reports direct calls
-	classEnv                           // os environment reads: nondetflow reports these itself
-)
-
 // intrinsicSource reports whether fn is one of the stdlib
-// nondeterminism roots, with a short description for witness chains.
-func intrinsicSource(fn *types.Func) (desc string, class intrinsicClass, ok bool) {
+// nondeterminism roots: desc names it in witness chains, problem is the
+// diagnostic for a use in modelled code (minus the waiver hint).
+func intrinsicSource(fn *types.Func) (desc, problem string, ok bool) {
 	if fn.Pkg() == nil {
-		return "", 0, false
+		return "", "", false
 	}
 	if sig, isSig := fn.Type().(*types.Signature); !isSig || sig.Recv() != nil {
-		return "", 0, false // methods (e.g. on a seeded *rand.Rand) are fine
+		return "", "", false // methods (e.g. on a seeded *rand.Rand) are fine
 	}
-	switch fn.Pkg().Path() {
+	switch name := fn.Name(); fn.Pkg().Path() {
 	case "time":
-		if bannedTime[fn.Name()] {
-			return "time." + fn.Name(), classWalltime, true
+		if bannedTime[name] {
+			desc = "time." + name
+			return desc, "wall-clock " + desc + " in modelled code; use the virtual clock (sim.Engine.Now, Proc.Sleep)", true
 		}
 	case "math/rand", "math/rand/v2":
-		if !allowedRand[fn.Name()] {
-			return "global rand." + fn.Name(), classWalltime, true
+		if !allowedRand[name] {
+			desc = "global rand." + name
+			return desc, desc + " in modelled code; draw from a seeded rand.New(rand.NewSource(seed))", true
 		}
 	case "os":
-		if envFuncs[fn.Name()] {
-			return "os." + fn.Name(), classEnv, true
+		if envFuncs[name] {
+			desc = "os." + name
+			return desc, desc + " reads the process environment in modelled code: runs stop being a pure function of (config, seed); thread the value through the configuration", true
 		}
 	}
-	return "", 0, false
+	return "", "", false
 }
 
 // chainHopLimit bounds witness chains: beyond this many hops the tail
@@ -256,7 +266,7 @@ func computeNondetFacts(pass *analysis.Pass) error {
 	return nil
 }
 
-// runNondetFlow reports taint entering modelled scope.
+// runNondetFlow reports nondeterminism entering modelled scope.
 func runNondetFlow(pass *analysis.Pass) error {
 	if !inModelledScope(pass.Pkg.Path()) {
 		return nil
@@ -266,23 +276,9 @@ func runNondetFlow(pass *analysis.Pass) error {
 		if analysis.IsTestFile(pass.Fset, f.Pos()) {
 			continue
 		}
-		// Idents in call position are walltime's domain for time/rand;
-		// everything else (value references, env reads, tainted helpers)
-		// is ours.
-		callFun := make(map[*ast.Ident]bool)
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			switch fun := ast.Unparen(call.Fun).(type) {
-			case *ast.Ident:
-				callFun[fun] = true
-			case *ast.SelectorExpr:
-				callFun[fun.Sel] = true
-			}
-			return true
-		})
+		// Every use of a function identifier, whatever expression
+		// surrounds it: a call, a parenthesized or instantiated callee, or
+		// a value that is called later.
 		ast.Inspect(f, func(n ast.Node) bool {
 			id, ok := n.(*ast.Ident)
 			if !ok {
@@ -292,17 +288,9 @@ func runNondetFlow(pass *analysis.Pass) error {
 			if !ok || fn.Pkg() == nil || fn.Pkg() == pass.Pkg {
 				return true
 			}
-			isCall := callFun[id]
-			if desc, class, isRoot := intrinsicSource(fn); isRoot {
-				switch class {
-				case classWalltime:
-					if !isCall && !waived(pass, w, id.Pos()) {
-						pass.Reportf(id.Pos(), "%s referenced as a value in modelled code: calling it later launders nondeterminism past the walltime analyzer; use the virtual clock or a seeded source, or waive with //imclint:deterministic -- reason", desc)
-					}
-				case classEnv:
-					if !waived(pass, w, id.Pos()) {
-						pass.Reportf(id.Pos(), "%s reads the process environment in modelled code: runs stop being a pure function of (config, seed); thread the value through the configuration or waive with //imclint:deterministic -- reason", desc)
-					}
+			if _, problem, isRoot := intrinsicSource(fn); isRoot {
+				if !waived(pass, w, id.Pos()) {
+					pass.Reportf(id.Pos(), "%s or waive with //imclint:deterministic -- reason", problem)
 				}
 				return true
 			}
@@ -311,11 +299,7 @@ func runNondetFlow(pass *analysis.Pass) error {
 			}
 			var fact NondetFact
 			if pass.ImportObjectFact(fn, &fact) && !waived(pass, w, id.Pos()) {
-				verb := "call into"
-				if !isCall {
-					verb = "reference to"
-				}
-				pass.Reportf(id.Pos(), "%s nondeterministic %s (%s): the helper launders nondeterminism into modelled code; make it deterministic, waive at its source, or waive this use with //imclint:deterministic -- reason", verb, funcDisplayName(fn), fact.Chain)
+				pass.Reportf(id.Pos(), "use of nondeterministic %s (%s): the helper launders nondeterminism into modelled code; make it deterministic, waive at its source, or waive this use with //imclint:deterministic -- reason", funcDisplayName(fn), fact.Chain)
 			}
 			return true
 		})

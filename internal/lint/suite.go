@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"fmt"
+
 	"github.com/imcstudy/imcstudy/internal/lint/analysis"
 	"github.com/imcstudy/imcstudy/internal/lint/load"
 )
@@ -9,10 +11,7 @@ import (
 // StaleWaiver must stay last: it reports directives no other analyzer
 // consumed, so every other analyzer has to see the package first.
 func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
-		EventOrder, MapRange, MetricsNil, NondetFlow, ProfNil, SharedMut, WallTime,
-		StaleWaiver,
-	}
+	return []*analysis.Analyzer{MapRange, NilGuard, NondetFlow, SharedMut, StaleWaiver}
 }
 
 // Run applies every analyzer to every package and returns the combined
@@ -24,7 +23,7 @@ func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer) ([]analysis.Diagn
 	store := analysis.NewFactStore()
 	var diags []analysis.Diagnostic
 	for _, pkg := range pkgs {
-		ds, err := RunPackage(store, pkg, analyzers, true)
+		ds, err := RunPackage(store, pkg, analyzers)
 		if err != nil {
 			return nil, err
 		}
@@ -38,11 +37,9 @@ func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer) ([]analysis.Diagn
 
 // RunPackage runs the suite over one package against a shared fact
 // store: first every analyzer's Facts phase (computing and exporting
-// this package's facts), then — when report is true — every Run phase.
-// Fact-only processing (report=false) is what `go vet` dependency
-// units and test loaders use to make upstream facts available without
-// re-reporting upstream findings.
-func RunPackage(store *analysis.FactStore, pkg *load.Package, analyzers []*analysis.Analyzer, report bool) ([]analysis.Diagnostic, error) {
+// this package's facts), then every Run phase. The findings come back
+// sorted by position, duplicates collapsed.
+func RunPackage(store *analysis.FactStore, pkg *load.Package, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
 	var diags []analysis.Diagnostic
 	newPass := func(a *analysis.Analyzer) *analysis.Pass {
 		pass := &analysis.Pass{
@@ -61,15 +58,12 @@ func RunPackage(store *analysis.FactStore, pkg *load.Package, analyzers []*analy
 			continue
 		}
 		if err := a.Facts(newPass(a)); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s facts on %s: %w", a.Name, pkg.ImportPath, err)
 		}
-	}
-	if !report {
-		return nil, nil
 	}
 	for _, a := range analyzers {
 		if err := a.Run(newPass(a)); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s on %s: %w", a.Name, pkg.ImportPath, err)
 		}
 	}
 	return analysis.SortDiagnostics(pkg.Fset, diags), nil

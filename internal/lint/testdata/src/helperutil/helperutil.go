@@ -1,8 +1,8 @@
 // Package helperutil is the non-modelled half of the nondetflow
 // fixture: innocent-looking host helpers a modelled package might
-// import. The package path has no modelled segment, so walltime and
-// maprange never look inside it — exactly the laundering hole the
-// facts-propagating analyzer closes. No `// want` comments here: taint
+// import. The package path has no modelled segment, so no analyzer
+// reports inside it — exactly the laundering hole the facts pass
+// closes. No `// want` comments here: taint
 // is computed for this package but reported only at modelled call
 // sites.
 package helperutil

@@ -1,22 +1,32 @@
-// Fixture for the walltime analyzer ("hpc" segment puts it in modelled
-// scope).
+// Fixture for nondetflow's wall-clock and global-rand roots ("hpc"
+// segment puts it in modelled scope).
 package walltime
 
 import (
 	"math/rand"
+	randv2 "math/rand/v2"
 	"time"
 )
 
 func wallClock() time.Time {
-	time.Sleep(time.Millisecond) // want `wall-clock call time\.Sleep`
-	t := time.Now()              // want `wall-clock call time\.Now`
-	_ = time.Since(t)            // want `wall-clock call time\.Since`
+	time.Sleep(time.Millisecond) // want `wall-clock time\.Sleep`
+	t := time.Now()              // want `wall-clock time\.Now`
+	_ = time.Since(t)            // want `wall-clock time\.Since`
 	return t
 }
 
 func globalRand() int {
 	rand.Shuffle(3, func(i, j int) {}) // want `global rand\.Shuffle`
 	return rand.Intn(4)                // want `global rand\.Intn`
+}
+
+// callForms reach the roots through callees that are not a plain
+// pkg.F selector.
+func callForms() int {
+	_ = (time.Now)()      // want `wall-clock time\.Now in modelled code`
+	a := (rand.Intn)(4)   // want `global rand\.Intn in modelled code`
+	b := randv2.N[int](4) // want `global rand\.N in modelled code`
+	return a + b
 }
 
 // seededRand is the approved pattern: an explicit source, methods on it.

@@ -1,5 +1,5 @@
-// Fixture for the metricsnil analyzer, which applies everywhere outside
-// internal/metrics itself.
+// Fixture for nilguard's metrics row; the analyzer applies everywhere
+// outside internal/metrics itself.
 package metricsuser
 
 import "github.com/imcstudy/imcstudy/internal/metrics"

@@ -1,6 +1,5 @@
-// Fixture: no path segment matches a modelled package, so maprange,
-// walltime and eventorder all stay silent here no matter what the code
-// does.
+// Fixture: no path segment matches a modelled package, so maprange and
+// nondetflow stay silent here no matter what the code does.
 package plainpkg
 
 import "time"

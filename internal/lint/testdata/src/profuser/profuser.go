@@ -1,5 +1,5 @@
-// Fixture for the profnil analyzer, which applies everywhere outside
-// internal/prof itself.
+// Fixture for nilguard's prof row; the analyzer applies everywhere
+// outside internal/prof itself.
 package profuser
 
 import "github.com/imcstudy/imcstudy/internal/prof"

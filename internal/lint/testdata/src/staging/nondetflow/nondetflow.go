@@ -15,7 +15,7 @@ import (
 var sink any
 
 func usesWrappedClock() {
-	sink = helperutil.WrapNow() // want `call into nondeterministic helperutil\.WrapNow \(helperutil\.WrapNow → time\.Now\)`
+	sink = helperutil.WrapNow() // want `use of nondeterministic helperutil\.WrapNow \(helperutil\.WrapNow → time\.Now\)`
 }
 
 func usesChain() {
@@ -40,7 +40,7 @@ func waivedUse() {
 }
 
 func escapesClock() {
-	f := time.Now // want `time\.Now referenced as a value`
+	f := time.Now // want `wall-clock time\.Now in modelled code`
 	sink = f
 }
 

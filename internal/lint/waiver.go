@@ -92,8 +92,8 @@ func (w *waivers) at(pos token.Pos) (info waiverInfo, line int, file string, ok 
 // which directives suppressed at least one would-be finding. Keys are
 // "filename\x00line". Drivers run packages sequentially and a file
 // belongs to exactly one package, so a process-wide map is sound in
-// standalone, unitchecker and test drivers alike; the mutex covers
-// incidental parallel test use.
+// the driver and the test harness alike; the mutex covers incidental
+// parallel test use.
 var (
 	waiverUsesMu sync.Mutex
 	waiverUses   = make(map[string]bool)

@@ -112,7 +112,7 @@ func (p *Profile) DeterministicJSON() ([]byte, error) {
 
 // Decode parses a profile document, validating its schema. It is the
 // only way code outside this package obtains a Profile value (the
-// profnil analyzer enforces this, mirroring the metrics registry
+// nilguard analyzer enforces this, as it does the metrics registry
 // contract).
 func Decode(r io.Reader) (*Profile, error) {
 	var p Profile
