@@ -14,10 +14,12 @@
 //     would allocate building a metric name should guard with a plain
 //     `if reg != nil`.
 //
-//   - Deterministic encoding. The discrete-event engine is deterministic,
-//     so two runs of the same configuration produce identical metric
-//     values; EncodeJSON and EncodeCSV emit them in sorted order so the
-//     encoded reports are byte-identical as well.
+//   - Deterministic, streaming encoding. The discrete-event engine is
+//     deterministic, so two runs of the same configuration produce
+//     identical metric values; EncodeJSON and EncodeCSV emit them in
+//     sorted order so the encoded reports are byte-identical as well.
+//     Both walk the live registry straight into one buffer; EncodeJSON's
+//     bytes are pinned by test to encoding/json's.
 //
 // The package deliberately imports nothing from the rest of the testbed
 // (virtual time is a plain float64), so every layer — sim, hpc,
@@ -27,6 +29,7 @@ package metrics
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -262,6 +265,10 @@ func (r *Registry) Gauge(name string) *Gauge {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.gaugeLocked(name)
+}
+
+func (r *Registry) gaugeLocked(name string) *Gauge {
 	g, ok := r.gauges[name]
 	if !ok {
 		g = &Gauge{r: r}
@@ -277,9 +284,11 @@ func (r *Registry) SampledGauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	g := r.Gauge(name)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	g := r.gaugeLocked(name)
 	if g.series == nil {
-		g.series = r.Series(name)
+		g.series = r.seriesLocked(name)
 	}
 	return g
 }
@@ -306,6 +315,10 @@ func (r *Registry) Series(name string) *Series {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.seriesLocked(name)
+}
+
+func (r *Registry) seriesLocked(name string) *Series {
 	s, ok := r.series[name]
 	if !ok {
 		s = &Series{}
@@ -390,55 +403,267 @@ func (r *Registry) Snapshot() Snapshot {
 	return snap
 }
 
-// EncodeJSON renders the registry as indented JSON. Two runs of the same
-// deterministic simulation produce byte-identical output.
+// EncodeJSON renders the registry as indented JSON: counters, gauges,
+// histograms and series, each with its names sorted. It is a streaming
+// encoder: one walk over the live instruments under the registry lock
+// appends into a single buffer, sized once up front, with no Snapshot
+// copy and no reflection over the values. Its bytes are pinned by test to
+// json.MarshalIndent(r.Snapshot(), "", "  ") plus a trailing newline,
+// so two runs of the same deterministic simulation produce
+// byte-identical output. NaN and ±Inf values are reported as errors,
+// as encoding/json does.
 func (r *Registry) EncodeJSON() ([]byte, error) {
-	buf, err := json.MarshalIndent(r.Snapshot(), "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("metrics: %w", err)
+	if r == nil {
+		r = &Registry{} // encodes as four empty maps, like Snapshot
 	}
-	return append(buf, '\n'), nil
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	names := r.sortedNames()
+
+	b := make([]byte, 0, r.jsonSize(names))
+	var err error
+	num := func(field string, f float64) {
+		b = append(b, field...)
+		if err == nil {
+			b, err = appendJSONFloat(b, f)
+		}
+	}
+	b = append(b, "{\n  \"counters\": {"...)
+	for i, name := range names.counters {
+		b = append(b, jsonMember(i)...)
+		b = appendJSONKey(b, name)
+		num(": ", r.counters[name].v)
+	}
+	b = appendJSONClose(b, len(names.counters))
+	b = append(b, ",\n  \"gauges\": {"...)
+	for i, name := range names.gauges {
+		g := r.gauges[name]
+		b = append(b, jsonMember(i)...)
+		b = appendJSONKey(b, name)
+		num(": {\n      \"value\": ", g.v)
+		num(",\n      \"peak\": ", g.peak)
+		b = append(b, "\n    }"...)
+	}
+	b = appendJSONClose(b, len(names.gauges))
+	b = append(b, ",\n  \"histograms\": {"...)
+	for i, name := range names.histograms {
+		h := r.histograms[name]
+		b = append(b, jsonMember(i)...)
+		b = appendJSONKey(b, name)
+		b = append(b, ": {\n      \"count\": "...)
+		b = strconv.AppendInt(b, h.count, 10)
+		num(",\n      \"sum\": ", h.sum)
+		num(",\n      \"min\": ", h.min)
+		num(",\n      \"max\": ", h.max)
+		num(",\n      \"mean\": ", h.Mean())
+		b = append(b, "\n    }"...)
+	}
+	b = appendJSONClose(b, len(names.histograms))
+	b = append(b, ",\n  \"series\": {"...)
+	for i, name := range names.series {
+		samples := r.series[name].samples
+		b = append(b, jsonMember(i)...)
+		b = appendJSONKey(b, name)
+		b = append(b, ": ["...)
+		for j, s := range samples {
+			num(jsonElem(j), s.T)
+			num(",\n        \"v\": ", s.V)
+			b = append(b, "\n      }"...)
+		}
+		if len(samples) > 0 {
+			b = append(b, "\n    "...)
+		}
+		b = append(b, ']')
+	}
+	b = appendJSONClose(b, len(names.series))
+	if err != nil {
+		return nil, err
+	}
+	return append(b, "\n}\n"...), nil
+}
+
+// reportNames holds a registry's instrument names, each kind sorted:
+// the order both encoders write.
+type reportNames struct {
+	counters, gauges, histograms, series []string
+}
+
+// sortedNames collects the names; the caller holds r.mu.
+func (r *Registry) sortedNames() reportNames {
+	return reportNames{
+		counters:   sortedKeys(r.counters),
+		gauges:     sortedKeys(r.gauges),
+		histograms: sortedKeys(r.histograms),
+		series:     sortedKeys(r.series),
+	}
+}
+
+// jsonSize bounds EncodeJSON's output from above, so its buffer is
+// allocated once: the fixed text of every entry at its indentation,
+// every number at its longest and every key fully escaped.
+func (r *Registry) jsonSize(n reportNames) int {
+	size := len("{\n  \"counters\": {\n  },\n  \"gauges\": {\n  },\n  \"histograms\": {\n  },\n  \"series\": {\n  }\n}\n")
+	for _, name := range n.counters {
+		size += jsonKeySize(name) + 8 + maxFloatLen
+	}
+	for _, name := range n.gauges {
+		size += jsonKeySize(name) + 48 + 2*maxFloatLen
+	}
+	for _, name := range n.histograms {
+		size += jsonKeySize(name) + 112 + 4*maxFloatLen
+	}
+	for _, name := range n.series {
+		size += jsonKeySize(name) + 16 + len(r.series[name].samples)*(46+2*maxFloatLen)
+	}
+	return size
+}
+
+// maxFloatLen is the longest shortest-form float64 that encoding/json
+// writes: "-0.0000012345678901234567" in the 'f' form it uses from 1e-6
+// to 1e21; the 'e' form peaks at 24 bytes.
+const maxFloatLen = 25
+
+// jsonMember is the text before the key of member i of a map nested
+// one level in the report: a separator and the member's indentation.
+func jsonMember(i int) string {
+	if i == 0 {
+		return "\n    "
+	}
+	return ",\n    "
+}
+
+// jsonElem is the text before sample j's time: a separator, the
+// sample's opening brace and the "t" field, indented for a series
+// nested two levels in.
+func jsonElem(j int) string {
+	if j == 0 {
+		return "\n      {\n        \"t\": "
+	}
+	return ",\n      {\n        \"t\": "
+}
+
+// appendJSONClose ends a top-level map of n members: empty maps stay
+// "{}", as json.Indent leaves them.
+func appendJSONClose(b []byte, n int) []byte {
+	if n > 0 {
+		b = append(b, "\n  "...)
+	}
+	return append(b, '}')
+}
+
+// appendJSONKey appends key as a JSON string with encoding/json's
+// escaping. Plain printable ASCII is copied between quotes; anything
+// else (quotes, backslashes, control bytes, <>&, non-ASCII) goes through
+// json.Marshal so HTML escaping and invalid UTF-8 come out exactly as
+// encoding/json writes them.
+func appendJSONKey(b []byte, key string) []byte {
+	if !jsonPlain(key) {
+		q, _ := json.Marshal(key) // a string always marshals
+		return append(b, q...)
+	}
+	b = append(b, '"')
+	b = append(b, key...)
+	return append(b, '"')
+}
+
+// jsonKeySize is the longest appendJSONKey can make key: escaping turns
+// one byte at most into a six-byte \uXXXX, and U+2028/U+2029 take three
+// bytes in, six out.
+func jsonKeySize(key string) int {
+	if jsonPlain(key) {
+		return len(key) + 2
+	}
+	return 6*len(key) + 2
+}
+
+func jsonPlain(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c >= 0x80, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
+}
+
+// appendJSONFloat formats f as encoding/json does: the shortest
+// representation, in exponent form below 1e-6 and from 1e21 on, with a
+// two-digit negative exponent cut to one ("1e-07" becomes "1e-7"). NaN
+// and ±Inf have no JSON form and are an error.
+func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return b, fmt.Errorf("metrics: json: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b, nil
 }
 
 // EncodeCSV renders the registry as `kind,name,field,value` rows, sorted
 // by (kind, name, field); series samples become one row per point in
-// time order. Byte-identical across runs of the same configuration.
+// time order, with the sample time as the field. Numbers use strconv's
+// shortest 'g' form. Like EncodeJSON it streams: one walk over the live
+// instruments appending into one buffer, no Snapshot copy and no string
+// per value. Byte-identical across runs of the same configuration.
 func (r *Registry) EncodeCSV() []byte {
-	snap := r.Snapshot()
-	var b strings.Builder
-	b.WriteString("kind,name,field,value\n")
-	row := func(kind, name, field string, v float64) {
-		b.WriteString(kind)
-		b.WriteByte(',')
-		b.WriteString(csvEscape(name))
-		b.WriteByte(',')
-		b.WriteString(field)
-		b.WriteByte(',')
-		b.WriteString(formatFloat(v))
-		b.WriteByte('\n')
+	if r == nil {
+		r = &Registry{}
 	}
-	for _, name := range sortedKeys(snap.Counters) {
-		row("counter", name, "value", snap.Counters[name])
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	names := r.sortedNames()
+
+	b := []byte("kind,name,field,value\n")
+	for _, name := range names.counters {
+		b = appendCSVRow(b, "counter,", csvEscape(name), "value", r.counters[name].v)
 	}
-	for _, name := range sortedKeys(snap.Gauges) {
-		g := snap.Gauges[name]
-		row("gauge", name, "value", g.Value)
-		row("gauge", name, "peak", g.Peak)
+	for _, name := range names.gauges {
+		g, esc := r.gauges[name], csvEscape(name)
+		b = appendCSVRow(b, "gauge,", esc, "value", g.v)
+		b = appendCSVRow(b, "gauge,", esc, "peak", g.peak)
 	}
-	for _, name := range sortedKeys(snap.Histograms) {
-		h := snap.Histograms[name]
-		row("histogram", name, "count", float64(h.Count))
-		row("histogram", name, "sum", h.Sum)
-		row("histogram", name, "min", h.Min)
-		row("histogram", name, "max", h.Max)
-		row("histogram", name, "mean", h.Mean)
+	for _, name := range names.histograms {
+		h, esc := r.histograms[name], csvEscape(name)
+		b = appendCSVRow(b, "histogram,", esc, "count", float64(h.count))
+		b = appendCSVRow(b, "histogram,", esc, "sum", h.sum)
+		b = appendCSVRow(b, "histogram,", esc, "min", h.min)
+		b = appendCSVRow(b, "histogram,", esc, "max", h.max)
+		b = appendCSVRow(b, "histogram,", esc, "mean", h.Mean())
 	}
-	for _, name := range sortedKeys(snap.Series) {
-		for _, s := range snap.Series[name] {
-			row("series", name, formatFloat(s.T), s.V)
+	for _, name := range names.series {
+		esc := csvEscape(name)
+		for _, s := range r.series[name].samples {
+			b = append(b, "series,"...)
+			b = append(b, esc...)
+			b = append(b, ',')
+			b = strconv.AppendFloat(b, s.T, 'g', -1, 64)
+			b = append(b, ',')
+			b = strconv.AppendFloat(b, s.V, 'g', -1, 64)
+			b = append(b, '\n')
 		}
 	}
-	return []byte(b.String())
+	return b
+}
+
+// appendCSVRow appends one `kind,name,field,value` row; kind carries its
+// trailing comma and name is already escaped.
+func appendCSVRow(b []byte, kind, name, field string, v float64) []byte {
+	b = append(b, kind...)
+	b = append(b, name...)
+	b = append(b, ',')
+	b = append(b, field...)
+	b = append(b, ',')
+	b = strconv.AppendFloat(b, v, 'g', -1, 64)
+	return append(b, '\n')
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -448,10 +673,6 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 // csvEscape guards metric names containing commas or quotes (none of the

@@ -2,7 +2,9 @@ package metrics
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -74,6 +76,37 @@ func TestSampledGaugeFeedsSeries(t *testing.T) {
 	s := r.Series("inflight").Samples()
 	if len(s) != 3 || s[1].V != 2 || s[2].T != 9 || s[2].V != 0 {
 		t.Fatalf("series = %+v", s)
+	}
+}
+
+// TestSampledGaugeConcurrentAttach: the gauge lookup and the series
+// attach happen under the registry lock, so concurrent first calls agree
+// on one gauge and one series per name (and the race detector sees no
+// unguarded access to the gauge's series field).
+func TestSampledGaugeConcurrentAttach(t *testing.T) {
+	r := NewRegistry(nil)
+	names := make([]string, 200)
+	for i := range names {
+		names[i] = "g" + strconv.Itoa(i)
+	}
+	got := make([][]*Gauge, 4)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, name := range names {
+				got[w] = append(got[w], r.SampledGauge(name))
+			}
+		}()
+	}
+	wg.Wait()
+	for i, name := range names {
+		for w := range got {
+			if g := got[w][i]; g != got[0][i] || g.series != r.Series(name) {
+				t.Fatalf("concurrent SampledGauge(%q) calls returned different gauges or series", name)
+			}
+		}
 	}
 }
 

@@ -230,11 +230,9 @@ func TestFaultPlanDeterminism(t *testing.T) {
 	}
 }
 
-// TestGoldenFaultedRun pins the fault and resilience counters of a
-// small crashed-and-survived run against a golden file, so behaviour
-// drift in the protection machinery is caught even when every
-// individual assertion still holds. Regenerate with -update.
-func TestGoldenFaultedRun(t *testing.T) {
+// faultedGoldenConfig is the small crashed-and-survived run whose
+// counters TestGoldenFaultedRun pins.
+func faultedGoldenConfig() Config {
 	cfg := metricsBase()
 	cfg.Servers = 4
 	cfg.Replication = 2
@@ -242,7 +240,15 @@ func TestGoldenFaultedRun(t *testing.T) {
 	cfg.Steps = 3
 	cfg.Trace = false
 	cfg.FailStagingNodeAt = 0.001
-	res, err := Run(cfg)
+	return cfg
+}
+
+// TestGoldenFaultedRun pins the fault and resilience counters of a
+// small crashed-and-survived run against a golden file, so behaviour
+// drift in the protection machinery is caught even when every
+// individual assertion still holds. Regenerate with -update.
+func TestGoldenFaultedRun(t *testing.T) {
+	res, err := Run(faultedGoldenConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
