@@ -1,4 +1,5 @@
 GO ?= go
+GOFMT ?= gofmt
 FUZZTIME ?= 5s
 PROF_OUT ?= imcprof-smoke.json
 CHAOS_OUT ?= chaos-smoke.json
@@ -24,8 +25,12 @@ lint:
 build:
 	$(GO) build ./...
 
+# vet also fails when any Go file outside dot-directories (the A/B
+# worktrees under .bench_build/ hold other revisions) is not gofmt-clean.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(find . -path '*/.*' -prune -o -name '*.go' -print | xargs $(GOFMT) -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...

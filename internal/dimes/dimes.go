@@ -12,6 +12,11 @@
 //   - metadata servers stay small (~154 MB in Figure 6) because the
 //     spatial index lives with the data owners, not the servers;
 //   - gets are direct writer-to-reader transfers (no staging hop).
+//
+// A get finds the owners of its box through an ndarray.BoxIndex over the
+// version's registered blocks, rebuilt at the first get after a put,
+// rather than testing every owner; it pulls from them in registration
+// order, the order a linear scan over the registrations gives.
 package dimes
 
 import (
@@ -105,13 +110,23 @@ type System struct {
 	servers []*MetaServer
 	gate    *staging.Gate
 	// owners tracks which clients hold blocks of each version and where.
-	owners map[staging.Key][]ownerEntry
+	owners map[staging.Key]*ownerSet
+}
+
+// ownerSet lists one version's registered blocks in registration order,
+// with a box index rebuilt at the first Get after a Put.
+type ownerSet struct {
+	entries []ownerEntry
+	index   ndarray.BoxIndex
+	stale   bool
 }
 
 type ownerEntry struct {
 	box    ndarray.Box
 	client *Client
 }
+
+func (set *ownerSet) box(i int) ndarray.Box { return set.entries[i].box }
 
 // Deploy starts the metadata servers on the given nodes.
 func Deploy(m *hpc.Machine, cfg Config, nodes []*hpc.Node) (*System, error) {
@@ -128,7 +143,7 @@ func Deploy(m *hpc.Machine, cfg Config, nodes []*hpc.Node) (*System, error) {
 		cfg:    cfg,
 		m:      m,
 		gate:   staging.NewGate(m.E, cfg.Writers),
-		owners: make(map[staging.Key][]ownerEntry),
+		owners: make(map[staging.Key]*ownerSet),
 	}
 	for i := 0; i < cfg.MetaServers; i++ {
 		node := nodes[i/cfg.MetaServersPerNode]
@@ -264,7 +279,13 @@ func (c *Client) Put(p *sim.Proc, varName string, version int, blk ndarray.Block
 		return err
 	}
 	c.sys.addEntries(srv, 1)
-	c.sys.owners[key] = append(c.sys.owners[key], ownerEntry{box: blk.Box.Clone(), client: c})
+	set := c.sys.owners[key]
+	if set == nil {
+		set = &ownerSet{}
+		c.sys.owners[key] = set
+	}
+	set.entries = append(set.entries, ownerEntry{box: blk.Box.Clone(), client: c})
+	set.stale = true
 	return nil
 }
 
@@ -321,10 +342,11 @@ func (c *Client) Get(p *sim.Proc, varName string, version int, box ndarray.Box) 
 		return ndarray.Block{}, err
 	}
 	var parts []ndarray.Block
-	for _, owner := range c.sys.owners[key] {
-		if !owner.box.Overlaps(box) {
-			continue
-		}
+	set := c.sys.owners[key]
+	for _, i := range set.overlapping(box) {
+		// A Put during this loop may append to set.entries, never
+		// change the entries the hits index.
+		owner := set.entries[i]
 		var blocks []ndarray.Block
 		err := c.sys.m.Retry.Do(p, "dimes/get", func() error {
 			var err error
@@ -348,6 +370,19 @@ func (c *Client) Get(p *sim.Proc, varName string, version int, box ndarray.Box) 
 		return ndarray.Block{}, fmt.Errorf("dimes get %s v%d: %w", varName, version, err)
 	}
 	return out, nil
+}
+
+// overlapping returns the positions in entries, ascending (registration
+// order), of the entries whose box overlaps box. A nil set has none.
+func (set *ownerSet) overlapping(box ndarray.Box) []int {
+	if set == nil {
+		return nil
+	}
+	if set.stale {
+		set.index.Build(len(set.entries), set.box)
+		set.stale = false
+	}
+	return set.index.Query(box, set.box, nil)
 }
 
 // PinnedBytes returns the bytes currently pinned in the RDMA pool.

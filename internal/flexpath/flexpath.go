@@ -12,6 +12,12 @@
 //   - FFS self-describing envelopes on every published event;
 //   - transport over NNTI RDMA or TCP sockets (the CMTransport option of
 //     Figure 10).
+//
+// Writers and readers are matched by box overlap. Each variable keeps an
+// ndarray.BoxIndex over its writers' declarations and one over its
+// readers' subscriptions, so a match costs a bisection and a scan of the
+// candidates rather than a test against every peer; matches come back in
+// attach order, the order a linear scan over the peers gives.
 package flexpath
 
 import (
@@ -77,23 +83,29 @@ type System struct {
 	writers []*Writer
 	readers []*Reader
 
-	// Memoized type matches (subscriptions are fixed before streaming).
-	readerCache map[matchKey][]*Reader
-	writerCache map[matchKey][]*Writer
+	// matches holds each variable's box indexes; Declare and Subscribe
+	// drop the variable's entry and the next match rebuilds it.
+	matches map[string]*varMatches
 }
 
-type matchKey struct {
+// varMatches indexes one variable's declarations and subscriptions. The
+// writers and readers are kept in attach order, so index hits (ascending
+// positions) come back in attach order too.
+type varMatches struct {
 	varName string
-	idx     int
+	writers []*Writer
+	wIndex  ndarray.BoxIndex
+	readers []*Reader
+	rIndex  ndarray.BoxIndex
+	hits    []int // scratch for one query
 }
 
 // Deploy creates the fabric.
 func Deploy(m *hpc.Machine, cfg Config) *System {
 	return &System{
-		cfg:         cfg.withDefaults(),
-		m:           m,
-		readerCache: make(map[matchKey][]*Reader),
-		writerCache: make(map[matchKey][]*Writer),
+		cfg:     cfg.withDefaults(),
+		m:       m,
+		matches: make(map[string]*varMatches),
 	}
 }
 
@@ -134,7 +146,6 @@ type Writer struct {
 	node *hpc.Node
 	ep   *transport.Endpoint
 	name string
-	idx  int
 
 	store     *staging.Store
 	declared  map[string]ndarray.Box
@@ -159,7 +170,6 @@ func (s *System) NewWriter(node *hpc.Node, job, name string, perStepBytes int64)
 	if err := s.m.Alloc(node, name, "library", lib); err != nil {
 		return nil, err
 	}
-	w.idx = len(s.writers)
 	s.writers = append(s.writers, w)
 	return w, nil
 }
@@ -168,9 +178,11 @@ func (s *System) NewWriter(node *hpc.Node, job, name string, perStepBytes int64)
 func (w *Writer) Init(p *sim.Proc) error { return w.ep.Init(p) }
 
 // Declare announces the box this writer will publish for varName; readers
-// are matched against it (FFS/EVPath type registration).
+// are matched against it (FFS/EVPath type registration). A declaration
+// made or changed after matching started takes effect at the next match.
 func (w *Writer) Declare(varName string, box ndarray.Box) {
 	w.declared[varName] = box
+	delete(w.sys.matches, varName)
 }
 
 // publishedEvent returns (creating) the event fired when key is published.
@@ -277,7 +289,6 @@ type Reader struct {
 	node *hpc.Node
 	ep   *transport.Endpoint
 	name string
-	idx  int
 
 	subs map[string]ndarray.Box
 }
@@ -295,7 +306,6 @@ func (s *System) NewReader(node *hpc.Node, job, name string, perStepBytes int64)
 	if err := s.m.Alloc(node, name, "library", lib); err != nil {
 		return nil, err
 	}
-	r.idx = len(s.readers)
 	s.readers = append(s.readers, r)
 	return r, nil
 }
@@ -303,51 +313,73 @@ func (s *System) NewReader(node *hpc.Node, job, name string, perStepBytes int64)
 // Init acquires transport credentials.
 func (r *Reader) Init(p *sim.Proc) error { return r.ep.Init(p) }
 
-// Subscribe registers interest in a box of varName. Subscriptions must be
-// in place before the matching versions are published.
+// Subscribe registers interest in a box of varName. A subscription must
+// be in place before the versions it should receive are published; one
+// made or changed after matching started takes effect at the next match
+// (the next Publish or Fetch of varName).
 func (r *Reader) Subscribe(varName string, box ndarray.Box) {
 	r.subs[varName] = box
+	delete(r.sys.matches, varName)
 }
 
-// matchingReaders returns the readers whose subscription intersects the
-// writer's declared box for varName.
-func (s *System) matchingReaders(w *Writer, varName string) []*Reader {
-	key := matchKey{varName: varName, idx: w.idx}
-	if cached, ok := s.readerCache[key]; ok {
-		return cached
+// matchesFor returns varName's indexes, building them from the current
+// declarations and subscriptions when Declare or Subscribe dropped them.
+// A reader or writer joins a variable's match sets only through those two
+// calls, so attaching one needs no rebuild.
+func (s *System) matchesFor(varName string) *varMatches {
+	vm, ok := s.matches[varName]
+	if ok {
+		return vm
 	}
+	vm = &varMatches{varName: varName}
+	for _, w := range s.writers {
+		if _, ok := w.declared[varName]; ok {
+			vm.writers = append(vm.writers, w)
+		}
+	}
+	for _, r := range s.readers {
+		if _, ok := r.subs[varName]; ok {
+			vm.readers = append(vm.readers, r)
+		}
+	}
+	vm.wIndex.Build(len(vm.writers), vm.writerBox)
+	vm.rIndex.Build(len(vm.readers), vm.readerBox)
+	s.matches[varName] = vm
+	return vm
+}
+
+func (vm *varMatches) writerBox(i int) ndarray.Box { return vm.writers[i].declared[vm.varName] }
+func (vm *varMatches) readerBox(i int) ndarray.Box { return vm.readers[i].subs[vm.varName] }
+
+// matchingReaders returns, in attach order, the readers whose
+// subscription intersects the writer's declared box for varName.
+func (s *System) matchingReaders(w *Writer, varName string) []*Reader {
 	wBox, ok := w.declared[varName]
 	if !ok {
 		return nil
 	}
-	var out []*Reader
-	for _, r := range s.readers {
-		if rBox, ok := r.subs[varName]; ok && rBox.Overlaps(wBox) {
-			out = append(out, r)
-		}
+	vm := s.matchesFor(varName)
+	vm.hits = vm.rIndex.Query(wBox, vm.readerBox, vm.hits[:0])
+	out := make([]*Reader, len(vm.hits))
+	for k, i := range vm.hits {
+		out[k] = vm.readers[i]
 	}
-	s.readerCache[key] = out
 	return out
 }
 
-// matchingWriters returns the writers whose declared box intersects the
-// reader's subscription.
+// matchingWriters returns, in attach order, the writers whose declared
+// box intersects the reader's subscription.
 func (s *System) matchingWriters(r *Reader, varName string) []*Writer {
-	key := matchKey{varName: varName, idx: r.idx}
-	if cached, ok := s.writerCache[key]; ok {
-		return cached
-	}
 	rBox, ok := r.subs[varName]
 	if !ok {
 		return nil
 	}
-	var out []*Writer
-	for _, w := range s.writers {
-		if wBox, ok := w.declared[varName]; ok && wBox.Overlaps(rBox) {
-			out = append(out, w)
-		}
+	vm := s.matchesFor(varName)
+	vm.hits = vm.wIndex.Query(rBox, vm.writerBox, vm.hits[:0])
+	out := make([]*Writer, len(vm.hits))
+	for k, i := range vm.hits {
+		out[k] = vm.writers[i]
 	}
-	s.writerCache[key] = out
 	return out
 }
 

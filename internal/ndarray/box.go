@@ -1,6 +1,7 @@
 // Package ndarray provides the n-dimensional array data model shared by
 // every staging library in the testbed: bounding boxes over a global
-// index space, domain decompositions, and dense or synthetic payloads.
+// index space, domain decompositions, dense or synthetic payloads, and
+// BoxIndex, the overlap index the libraries match boxes through.
 //
 // Boxes use uint64 coordinates throughout; the paper's Table IV notes
 // that 32-bit dimension arithmetic overflows on realistic problem sizes,

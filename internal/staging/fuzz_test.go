@@ -8,14 +8,17 @@ import (
 
 // FuzzBlockSetQuery feeds the spatial index arbitrary 2-D block layouts
 // — single-dimension tilings that take the bisection path as well as
-// mixed layouts that force the linear fallback — and checks every query
-// against a brute-force scan of the inserted boxes. The encoding is 4
-// bytes per box (lo/width per dimension); the final 4 bytes are the
-// query box.
+// mixed layouts served by the box index — and checks every query against
+// brute-force scans: the covered-element count against the inserted
+// boxes, and the returned sub-blocks, in order, against a linear
+// Intersect scan over the set's blocks as the query left them (the
+// single-dimension path sorts them; the mixed path keeps insertion
+// order). The encoding is 4 bytes per box (lo/width per dimension); the
+// final 4 bytes are the query box.
 func FuzzBlockSetQuery(f *testing.F) {
 	// Row-slab tiling plus a query spanning two slabs.
 	f.Add([]byte{0, 4, 0, 8, 4, 4, 0, 8, 8, 4, 0, 8, 2, 8, 1, 6})
-	// Mixed layout (differs in both dimensions): linear-scan path.
+	// Mixed layout (differs in both dimensions): box-index path.
 	f.Add([]byte{0, 4, 0, 4, 4, 4, 4, 4, 0, 4, 4, 4, 1, 6, 1, 6})
 	// Duplicate and overlapping boxes.
 	f.Add([]byte{3, 5, 3, 5, 3, 5, 3, 5, 0, 16, 0, 16})
@@ -68,6 +71,22 @@ func FuzzBlockSetQuery(f *testing.F) {
 		if covered != want {
 			t.Fatalf("query covered %d elems, brute force %d (query %v over %d boxes)",
 				covered, want, query, len(boxes))
+		}
+		var order []ndarray.Box
+		for _, blk := range bs.blocks {
+			if ov, ok := blk.Box.Intersect(query); ok {
+				order = append(order, ov)
+			}
+		}
+		if len(got) != len(order) {
+			t.Fatalf("query returned %d sub-blocks, linear scan %d (query %v, layout dim %d)",
+				len(got), len(order), query, bs.dim)
+		}
+		for i, blk := range got {
+			if !blk.Box.Equal(order[i]) {
+				t.Fatalf("sub-block %d is %v, linear scan has %v (query %v, layout dim %d)",
+					i, blk.Box, order[i], query, bs.dim)
+			}
 		}
 	})
 }

@@ -67,16 +67,16 @@ type storeCounters struct {
 // dimension's lower bound so queries bisect instead of scanning. Mixed
 // layouts (e.g. a server owning two staging regions, whose blocks differ
 // along both the writer dimension and the region dimension) keep the
-// blocks in insertion order and instead bisect a lazily built per-
-// dimension permutation index, scanning only the narrowest candidate
-// window.
+// blocks in insertion order under an ndarray.BoxIndex, rebuilt at the
+// first query after an add.
 type blockSet struct {
 	blocks []ndarray.Block
 	// dim is the discriminating dimension; -1 means mixed layout,
 	// -2 means not yet determined (0 or 1 blocks stored).
 	dim int
-	// sorted records whether blocks are ordered by Lo[dim]; adds are
-	// O(1) appends and the sort happens lazily at the first query.
+	// sorted records whether blocks are ordered by Lo[dim] (or, for a
+	// mixed layout, whether index is current); adds are O(1) appends
+	// and the sort happens lazily at the first query.
 	sorted bool
 	// maxW is the widest extent along dim (recomputed with the lazy
 	// sort): a block can reach into a query only if it starts within
@@ -84,14 +84,8 @@ type blockSet struct {
 	// without assuming the blocks tile — overlapping same-Lo blocks
 	// with different extents are still found.
 	maxW uint64
-
-	// Mixed-layout index: byDim[d] is the block indices ordered by
-	// Lo[d], and dimMaxW[d] the widest extent along d. Built lazily at
-	// the first query after an add; queries bisect every dimension and
-	// scan the smallest window in insertion order, so results are
-	// identical (same subset, same order) to the former linear scan.
-	byDim   [][]int32
-	dimMaxW []uint64
+	// index serves mixed layouts.
+	index ndarray.BoxIndex
 }
 
 func newBlockSet() *blockSet { return &blockSet{dim: -2} }
@@ -182,76 +176,16 @@ func (bs *blockSet) query(box ndarray.Box) ([]ndarray.Block, error) {
 	return out, nil
 }
 
-// queryMixed serves mixed-layout sets: bisect the per-dimension indexes,
-// take the narrowest candidate window, and emit survivors in insertion
-// order — exactly the subset and order a full linear scan would produce.
+// queryMixed serves mixed-layout sets through the box index, which
+// returns the overlapping blocks in insertion order.
 func (bs *blockSet) queryMixed(box ndarray.Box) ([]ndarray.Block, error) {
 	if !bs.sorted {
-		nd := len(box.Lo)
-		if len(bs.blocks) > 0 {
-			nd = len(bs.blocks[0].Box.Lo)
-		}
-		if cap(bs.byDim) < nd {
-			bs.byDim = make([][]int32, nd)
-			bs.dimMaxW = make([]uint64, nd)
-		}
-		bs.byDim = bs.byDim[:nd]
-		bs.dimMaxW = bs.dimMaxW[:nd]
-		for d := 0; d < nd; d++ {
-			idx := bs.byDim[d][:0]
-			for i := range bs.blocks {
-				idx = append(idx, int32(i))
-			}
-			blocks := bs.blocks
-			sort.SliceStable(idx, func(a, b int) bool {
-				return blocks[idx[a]].Box.Lo[d] < blocks[idx[b]].Box.Lo[d]
-			})
-			bs.byDim[d] = idx
-			bs.dimMaxW[d] = 0
-			for _, blk := range bs.blocks {
-				if w := blk.Box.Hi[d] - blk.Box.Lo[d]; w > bs.dimMaxW[d] {
-					bs.dimMaxW[d] = w
-				}
-			}
-		}
+		bs.index.Build(len(bs.blocks), bs.blockBox)
 		bs.sorted = true
 	}
-	// Pick the dimension whose candidate window is smallest.
-	bestD, bestLo, bestHi := -1, 0, len(bs.blocks)
-	for d := range bs.byDim {
-		if d >= len(box.Lo) {
-			break
-		}
-		idx := bs.byDim[d]
-		minLo := uint64(0)
-		if box.Lo[d] > bs.dimMaxW[d] {
-			minLo = box.Lo[d] - bs.dimMaxW[d]
-		}
-		lo := sort.Search(len(idx), func(k int) bool {
-			return bs.blocks[idx[k]].Box.Lo[d] >= minLo
-		})
-		hi := sort.Search(len(idx), func(k int) bool {
-			return bs.blocks[idx[k]].Box.Lo[d] >= box.Hi[d]
-		})
-		if bestD < 0 || hi-lo < bestHi-bestLo {
-			bestD, bestLo, bestHi = d, lo, hi
-		}
-	}
-	var cand []int32
-	if bestD < 0 {
-		for i := range bs.blocks {
-			cand = append(cand, int32(i))
-		}
-	} else {
-		cand = append(cand, bs.byDim[bestD][bestLo:bestHi]...)
-		sort.Slice(cand, func(a, b int) bool { return cand[a] < cand[b] })
-	}
 	var out []ndarray.Block
-	for _, i := range cand {
+	for _, i := range bs.index.Query(box, bs.blockBox, nil) {
 		blk := bs.blocks[i]
-		if !blk.Box.Overlaps(box) {
-			continue
-		}
 		overlap, _ := blk.Box.Intersect(box)
 		sub, err := blk.Sub(overlap)
 		if err != nil {
@@ -261,6 +195,8 @@ func (bs *blockSet) queryMixed(box ndarray.Box) ([]ndarray.Block, error) {
 	}
 	return out, nil
 }
+
+func (bs *blockSet) blockBox(i int) ndarray.Box { return bs.blocks[i].Box }
 
 // NewStore creates a store for the named component on node. maxVersions
 // bounds how many versions of a variable are retained (older versions are

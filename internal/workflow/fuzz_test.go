@@ -111,4 +111,3 @@ func FuzzTransientFaultDeterminism(f *testing.F) {
 		}
 	})
 }
-
